@@ -347,7 +347,11 @@ let gen_funcdef st =
   Gen_util.add st "\n"
 
 let gen_classdef st =
-  Gen_util.addf st "class %s:\n" (String.capitalize_ascii (Gen_util.word st));
+  let name = String.capitalize_ascii (Gen_util.word st) in
+  (* A capitalised word can spell None, True or False.  Rename it without
+     drawing from the RNG, so every other seed's output is unchanged. *)
+  let name = if List.mem name keywords then name ^ "_" else name in
+  Gen_util.addf st "class %s:\n" name;
   let n = 1 + Gen_util.int st 3 in
   for _ = 1 to n do
     indent st 1;

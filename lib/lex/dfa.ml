@@ -165,13 +165,21 @@ let rule_witness d ix =
   done;
   !best
 
-module Key = struct
-  type t = int list
+(* DFA states are interned by their sorted NFA state set.  The hash reads
+   every element: [Hashtbl.hash] stops after ten, and large subsets that
+   share a prefix would all collide. *)
+module Subset_tbl = Hashtbl.Make (struct
+  type t = int array
 
-  let compare = Stdlib.compare
-end
+  let equal (a : int array) b =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
+    go 0
 
-module Key_map = Map.Make (Key)
+  let hash a = Array.fold_left (fun h s -> (h * 31) + s) 0 a land max_int
+end)
 
 (* Partition the 256 byte columns into equivalence classes: two bytes are
    interchangeable iff every state moves to the same successor on both.
@@ -205,20 +213,29 @@ let build_classes trans =
   done;
   (classes, nc, ctrans)
 
+(* Subset construction, depth first from the start set.  Every byte of an
+   alphabet interval ({!Nfa.alphabet_partition}) steps to the same subset,
+   so each state steps once per interval, at its lowest byte, and the
+   result fills the interval's columns of the 256-entry row.  Intervals are
+   visited in ascending order, so a new subset is first met at the same
+   byte as in a byte-by-byte walk and gets the same id. *)
 let of_nfa nfa =
-  let ids = ref Key_map.empty in
-  let trans_acc = ref [] in
+  let lows = Nfa.alphabet_partition nfa in
+  let num_intervals = Array.length lows in
+  let step_closure = Nfa.step_closure nfa in
+  let ids = Subset_tbl.create 256 in
+  let rows = ref [] in
   let accepts_acc = ref [] in
   let next_id = ref 0 in
   let rec intern states =
-    match Key_map.find_opt states !ids with
+    match Subset_tbl.find_opt ids states with
     | Some id -> id
     | None ->
       let id = !next_id in
       incr next_id;
-      ids := Key_map.add states id !ids;
+      Subset_tbl.add ids states id;
       let accept =
-        List.fold_left
+        Array.fold_left
           (fun acc s ->
             match Nfa.accept_rule nfa s, acc with
             | Some ix, Some ix' -> Some (min ix ix')
@@ -226,23 +243,25 @@ let of_nfa nfa =
             | None, acc -> acc)
           None states
       in
-      accepts_acc := (id, accept) :: !accepts_acc;
+      accepts_acc := accept :: !accepts_acc;
       let row = Array.make 256 (-1) in
       (* Reserve the row slot now so recursion sees a stable order. *)
-      trans_acc := (id, row) :: !trans_acc;
-      for c = 0 to 255 do
-        match Nfa.eps_closure nfa (Nfa.step nfa states (Char.chr c)) with
-        | [] -> ()
-        | states' -> row.(c) <- intern states'
+      rows := row :: !rows;
+      for i = 0 to num_intervals - 1 do
+        let lo = lows.(i) in
+        let hi = if i + 1 < num_intervals then lows.(i + 1) - 1 else 255 in
+        let states' = step_closure states (Char.chr lo) in
+        if Array.length states' > 0 then
+          Array.fill row lo (hi - lo + 1) (intern states')
       done;
       id
   in
-  let start = intern (Nfa.eps_closure nfa [ Nfa.start nfa ]) in
+  let start =
+    intern (Array.of_list (Nfa.eps_closure nfa [ Nfa.start nfa ]))
+  in
   let n = !next_id in
-  let trans = Array.make n [||] in
-  List.iter (fun (id, row) -> trans.(id) <- row) !trans_acc;
-  let accepts = Array.make n None in
-  List.iter (fun (id, a) -> accepts.(id) <- a) !accepts_acc;
+  let trans = Array.of_list (List.rev !rows) in
+  let accepts = Array.of_list (List.rev !accepts_acc) in
   let accept_ix = Array.map (function Some ix -> ix | None -> -1) accepts in
   if n > 32767 then
     invalid_arg

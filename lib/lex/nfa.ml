@@ -116,3 +116,57 @@ let step nfa states c =
     if seen.(s) then acc := s :: !acc
   done;
   !acc
+
+(* --- Batch stepping for the subset construction ------------------------
+
+   Every range boundary cuts the byte alphabet: a cut at [lo] and at
+   [hi + 1] of each range.  Between two cuts every range either contains
+   all bytes or none, so [step] gives the same set for every byte of an
+   interval and the DFA builder steps once per interval. *)
+
+let alphabet_partition nfa =
+  let cut = Array.make 257 false in
+  cut.(0) <- true;
+  Array.iter
+    (List.iter (fun (lo, hi, _) ->
+         cut.(Char.code lo) <- true;
+         cut.(Char.code hi + 1) <- true))
+    nfa.trans;
+  let lows = ref [] in
+  for c = 255 downto 0 do
+    if cut.(c) then lows := c :: !lows
+  done;
+  Array.of_list !lows
+
+(* [mark.(s) = gen] means [s] is in the set under construction; bumping
+   [gen] clears every mark at once.  [work] holds the marked states in
+   discovery order and doubles as the closure's worklist. *)
+let step_closure nfa =
+  let mark = Array.make nfa.num_states 0 in
+  let gen = ref 0 in
+  let work = Array.make nfa.num_states 0 in
+  fun states c ->
+    incr gen;
+    let gen = !gen in
+    let n = ref 0 in
+    let push s =
+      if mark.(s) <> gen then begin
+        mark.(s) <- gen;
+        work.(!n) <- s;
+        incr n
+      end
+    in
+    Array.iter
+      (fun s ->
+        List.iter
+          (fun (lo, hi, s') -> if c >= lo && c <= hi then push s')
+          nfa.trans.(s))
+      states;
+    let i = ref 0 in
+    while !i < !n do
+      List.iter push nfa.eps.(work.(!i));
+      incr i
+    done;
+    let out = Array.sub work 0 !n in
+    Array.sort Int.compare out;
+    out

@@ -167,6 +167,29 @@ let test_minipy_indent_errors () =
     | P.Reject _ -> ()
     | _ -> Alcotest.fail "expected a parse reject for stray indent")
 
+(* The generator names classes with a capitalised random word, which can
+   spell None, True or False; it must rename those.  Seed 807150 at this
+   size once produced [class True:]. *)
+let test_minipy_class_names_not_keywords () =
+  let renamed = ref 0 in
+  List.iter
+    (fun seed ->
+      let src = Lang.generate minipy ~seed ~size:7816 in
+      List.iter
+        (fun line ->
+          match Scanf.sscanf_opt line "class %[A-Za-z0-9_]:" Fun.id with
+          | None -> ()
+          | Some name ->
+            check
+              (Printf.sprintf "seed %d: class %s is not a keyword" seed name)
+              false
+              (List.mem name Minipy.keywords);
+            if List.mem name [ "None_"; "True_"; "False_" ] then incr renamed)
+        (String.split_on_char '\n' src);
+      expect_unique minipy src)
+    (List.init 5 (fun i -> 807148 + i));
+  check "the seed range includes a renamed keyword" true (!renamed > 0)
+
 let test_grammar_sizes_ordering () =
   (* MiniPython is the largest grammar, as Python 3 is in the paper. *)
   let size l = Grammar.num_productions (Lang.grammar l) in
@@ -209,6 +232,8 @@ let suite =
       test_minipy_blank_lines_comments;
     Alcotest.test_case "minipy indent errors" `Quick test_minipy_indent_errors;
     Alcotest.test_case "minipy generated corpus" `Quick (test_generated minipy);
+    Alcotest.test_case "minipy class names are not keywords" `Quick
+      test_minipy_class_names_not_keywords;
     Alcotest.test_case "grammar size ordering" `Quick test_grammar_sizes_ordering;
     Alcotest.test_case "all grammars LR-free" `Quick test_all_lr_free;
     Alcotest.test_case "generators deterministic" `Quick

@@ -51,13 +51,79 @@ let gen_input : string QCheck.Gen.t =
   int_range 0 40 >>= fun len ->
   string_size ~gen:(oneofl [ 'a'; 'b'; 'c'; '0'; '1'; ' ' ]) (return len)
 
-let arb_spec_input =
+(* Wide specs: regexes over all 256 bytes.  Each spec draws a palette of a
+   few random bytes (NUL and high bytes included); chars, ranges, sets and
+   complements take their endpoints from it, so ranges overlap and share
+   edges, and inputs drawn from the palette and its neighbours hit those
+   edges.  [any] and complements reach every other byte. *)
+let gen_wide_spec_input : (Scanner.rule list * string) QCheck.Gen.t =
+  let open QCheck.Gen in
+  list_size (int_range 2 5) (int_bound 255) >>= fun palette ->
+  let byte = map Char.chr (oneofl palette) in
+  let bytes =
+    map
+      (fun l -> String.of_seq (List.to_seq l))
+      (list_size (int_range 1 3) byte)
+  in
+  let atom =
+    frequency
+      [
+        (3, map Regex.chr byte);
+        (3, map2 (fun a b -> Regex.range (min a b) (max a b)) byte byte);
+        (2, map Regex.set bytes);
+        (2, map (fun s -> Regex.none_of s) bytes);
+        (1, return Regex.any);
+      ]
+  in
+  let re =
+    fix
+      (fun self depth ->
+        if depth = 0 then atom
+        else
+          frequency
+            [
+              (3, atom);
+              (2, map Regex.seq (list_size (int_range 2 3) (self (depth - 1))));
+              (2, map Regex.alt (list_size (int_range 2 3) (self (depth - 1))));
+              (1, map Regex.star (self (depth - 1)));
+              (1, map Regex.plus (self (depth - 1)));
+              (1, map Regex.opt (self (depth - 1)));
+            ])
+      3
+  in
+  (* Scanner rules must not accept the empty string. *)
+  let rule_re =
+    map2 (fun a r -> if Regex.nullable r then Regex.seq [ a; r ] else r) atom re
+  in
+  list_size (int_range 1 6) rule_re >>= fun res ->
+  let rules =
+    List.mapi (fun i re -> Scanner.rule (Printf.sprintf "R%d" i) re) res
+  in
+  let input_byte =
+    frequency
+      [
+        (6, oneofl palette);
+        (2, map (fun c -> max 0 (c - 1)) (oneofl palette));
+        (2, map (fun c -> min 255 (c + 1)) (oneofl palette));
+        (1, int_bound 255);
+      ]
+  in
+  list_size (int_range 0 30) (map Char.chr input_byte) >|= fun input ->
+  (rules, String.of_seq (List.to_seq input))
+
+let arb_of gen =
   QCheck.make
     ~print:(fun (rules, input) ->
       Printf.sprintf "rules: %s\ninput: %S"
         (String.concat " " (List.map (fun (r : Scanner.rule) -> r.name) rules))
         input)
-    QCheck.Gen.(pair gen_spec gen_input)
+    gen
+
+(* Half narrow specs over a handwritten pool, half wide ones. *)
+let arb_spec_input =
+  arb_of
+    QCheck.Gen.(
+      frequency [ (1, pair gen_spec gen_input); (1, gen_wide_spec_input) ])
 
 (* A grammar that declares every rule name as a terminal, so both
    pipelines can resolve kinds. *)
@@ -125,6 +191,54 @@ let prop_classes_partition =
       && List.for_all
            (fun k -> Array.exists (fun k' -> k' = k) tbl)
            (List.init nc Fun.id))
+
+(* Maximal munch from [pos] as (end offset, rule index), first rule wins
+   on equal length; (-1, -1) if nothing matches.  [step] advances a state
+   on one byte, [accept] is its lowest accepting rule or -1, and [dead]
+   tells that no further byte can lead to a match. *)
+let munch ~init ~step ~accept ~dead input pos =
+  let best = ref (-1, -1) in
+  let rec go st i =
+    if i < String.length input then begin
+      let st = step st input.[i] in
+      if not (dead st) then begin
+        let r = accept st in
+        if r >= 0 then best := (i + 1, r);
+        go st (i + 1)
+      end
+    end
+  in
+  go init pos;
+  !best
+
+(* The reference semantics: the NFA stepped one byte at a time with
+   [Nfa.step] and [Nfa.eps_closure]. *)
+let nfa_munch nfa =
+  munch
+    ~init:(Nfa.eps_closure nfa [ Nfa.start nfa ])
+    ~step:(fun st c -> Nfa.eps_closure nfa (Nfa.step nfa st c))
+    ~accept:(fun st ->
+      List.fold_left
+        (fun acc s ->
+          match Nfa.accept_rule nfa s with
+          | Some ix when acc < 0 || ix < acc -> ix
+          | _ -> acc)
+        (-1) st)
+    ~dead:(fun st -> st = [])
+
+let dfa_munch d =
+  munch ~init:(Dfa.start d) ~step:(Dfa.next d) ~accept:(Dfa.accept_ix d)
+    ~dead:(fun s -> s < 0)
+
+let prop_dfa_munch_is_nfa_munch =
+  QCheck.Test.make ~count:500
+    ~name:"DFA maximal munch = NFA-simulated maximal munch (wide specs)"
+    (arb_of gen_wide_spec_input) (fun (rules, input) ->
+      let d = Scanner.dfa (Scanner.make rules) in
+      let nfa = Nfa.build (List.map (fun (r : Scanner.rule) -> r.re) rules) in
+      List.for_all
+        (fun pos -> dfa_munch d input pos = nfa_munch nfa input pos)
+        (List.init (String.length input + 1) Fun.id))
 
 (* Parse differential: a scanner whose rules are single characters over the
    random grammar's terminals, so that random words round-trip through a
@@ -200,6 +314,54 @@ let test_langs_differential () =
             true
             (same_result (Parser.run p toks) (Parser.run_buf p buf)))
         [ 1; 2; 3 ])
+    langs
+
+(* Bit-identity pin for the built-in scanners: an MD5 over the start
+   state, state count, byte->class map, class transition table and accept
+   indices.  The coverage universe's lexer-transition ids, the lint goldens
+   and [cover --close] name DFA states and classes by number, so a change
+   to the subset construction must keep every id.  The values were taken
+   with the byte-by-byte builder this suite's properties still check
+   against. *)
+let dfa_digest d =
+  let b = Buffer.create 4096 in
+  let add i =
+    Buffer.add_string b (string_of_int i);
+    Buffer.add_char b ','
+  in
+  add (Dfa.start d);
+  add (Dfa.num_states d);
+  add (Dfa.num_classes d);
+  Array.iter add (Dfa.class_table d);
+  for s = 0 to Dfa.num_states d - 1 do
+    for k = 0 to Dfa.num_classes d - 1 do
+      add (Dfa.next_class d s k)
+    done
+  done;
+  for s = 0 to Dfa.num_states d - 1 do
+    add (Dfa.accept_ix d s)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let pinned_dfa_digests =
+  [
+    ("json", "d4177b99d15ea78c2e4c0bc3558ae330");
+    ("xml", "08ad278fe3f64e07dfff2cbbd3821fed");
+    ("dot", "a50c91fd153312db1e95faa522e3665c");
+    ("minipy", "4268d0a6675f5ac74d98005f18412b01");
+  ]
+
+let test_dfa_digests_pinned () =
+  List.iter
+    (fun l ->
+      let name = l.Costar_langs.Lang.name in
+      match Costar_langs.Lang.scanner l with
+      | None -> Alcotest.failf "%s has no scanner" name
+      | Some sc ->
+        Alcotest.(check string)
+          (name ^ " DFA digest")
+          (List.assoc name pinned_dfa_digests)
+          (dfa_digest (Scanner.dfa sc)))
     langs
 
 let test_minipy_indent_error_agrees () =
@@ -312,6 +474,7 @@ let props =
       prop_scan_buf_agrees;
       prop_classes_correct;
       prop_classes_partition;
+      prop_dfa_munch_is_nfa_munch;
       prop_parse_buf_agrees;
     ]
 
@@ -325,6 +488,8 @@ let () =
             test_langs_differential;
           Alcotest.test_case "minipy indent errors agree" `Quick
             test_minipy_indent_error_agrees;
+          Alcotest.test_case "scanner DFAs match the pinned digests" `Quick
+            test_dfa_digests_pinned;
         ] );
       ( "alloc",
         [
