@@ -607,9 +607,9 @@ let precache cfg corpora =
     " DFA states it interns are exactly the runtime's cache entries, so a";
   print_endline
     " deserialized analysis cache removes first-parse cold misses)";
-  Printf.printf "%-10s %11s %9s %16s %16s %12s %12s %8s\n" "Benchmark"
-    "analyze(ms)" "file(KB)" "cold miss(s/t)" "warm miss(s/t)" "cold(ms)"
-    "warm(ms)" "speedup";
+  Printf.printf "%-10s %11s %9s %9s %9s %9s %12s %12s %12s %10s %10s %8s\n"
+    "Benchmark" "analyze(ms)" "v2(KB)" "image(KB)" "emit(ms)" "load(ms)"
+    "cold miss" "v2 warm" "image warm" "cold(ms)" "warm(ms)" "speedup";
   List.iter
     (fun { lang; files } ->
       let g = Lang.grammar lang in
@@ -617,12 +617,26 @@ let precache cfg corpora =
       let t0 = Unix.gettimeofday () in
       let r = Costar_predict_analysis.Analyze.analyze g in
       let analyze_t = Unix.gettimeofday () -. t0 in
-      let blob =
-        Costar_core.Cache.precompile ~fingerprint:fp
-          r.Costar_predict_analysis.Analyze.cache
+      let analyzed = r.Costar_predict_analysis.Analyze.cache in
+      let blob = Costar_core.Cache.precompile ~fingerprint:fp analyzed in
+      (* The flat image of the same cache: emission (best of 3), and an
+         mmap load plus validation of the written file (best of 5). *)
+      let image = ref "" in
+      let emit_t =
+        time_best ~trials:3 (fun () ->
+            image := Costar_core.Cache.image_bytes ~fingerprint:fp analyzed)
       in
+      let img_file = Filename.temp_file "costar_e12" ".img" in
+      Out_channel.with_open_bin img_file (fun oc ->
+          Out_channel.output_string oc !image);
       let p = P.make g in
       let anl = P.analysis p in
+      let load_img () =
+        match Costar_core.Cache.load_image ~anl ~fingerprint:fp img_file with
+        | Ok c -> c
+        | Error e -> failwith (Costar_core.Cache.image_error_to_string e)
+      in
+      let load_t = time_best ~trials:5 load_img in
       let pre =
         match Costar_core.Cache.of_precompiled ~anl ~fingerprint:fp blob with
         | Ok c -> c
@@ -649,6 +663,8 @@ let precache cfg corpora =
       in
       let cold_s, cold_t' = miss (Costar_core.Cache.create anl) in
       let warm_s, warm_t' = miss pre in
+      let img_s, img_t' = miss (load_img ()) in
+      Sys.remove img_file;
       let cold_time, _ =
         time_trials ~trials:cfg.trials (fun () ->
             parse_all (Costar_core.Cache.create anl))
@@ -657,18 +673,42 @@ let precache cfg corpora =
         time_trials ~trials:cfg.trials (fun () ->
             parse_all (Costar_core.Cache.copy pre))
       in
-      Printf.printf "%-10s %11.1f %9.1f %10d/%-5d %10d/%-5d %12.3f %12.3f %7.2fx\n"
-        lang.Lang.name (analyze_t *. 1e3)
-        (float_of_int (String.length blob) /. 1024.)
-        cold_s cold_t' warm_s warm_t' (cold_time *. 1e3) (warm_time *. 1e3)
-        (cold_time /. warm_time))
+      let kb n = float_of_int n /. 1024. in
+      let st = Printf.sprintf "%d/%d" in
+      Printf.printf
+        "%-10s %11.1f %9.1f %9.1f %9.1f %9.2f %12s %12s %12s %10.3f %10.3f \
+         %7.2fx\n"
+        lang.Lang.name (analyze_t *. 1e3) (kb (String.length blob))
+        (kb (String.length !image)) (emit_t *. 1e3) (load_t *. 1e3)
+        (st cold_s cold_t') (st warm_s warm_t') (st img_s img_t')
+        (cold_time *. 1e3) (warm_time *. 1e3) (cold_time /. warm_time);
+      let record key v =
+        Bench_json.record ~bench:"E12" (lang.Lang.name ^ "." ^ key) v
+      in
+      record "analyze_ms" (analyze_t *. 1e3);
+      record "v2_kb" (kb (String.length blob));
+      record "image_kb" (kb (String.length !image));
+      record "image_emit_ms" (emit_t *. 1e3);
+      record "image_load_ms" (load_t *. 1e3);
+      record "cold_miss_states" (float_of_int cold_s);
+      record "cold_miss_transitions" (float_of_int cold_t');
+      record "v2_warm_miss_states" (float_of_int warm_s);
+      record "v2_warm_miss_transitions" (float_of_int warm_t');
+      record "image_warm_miss_states" (float_of_int img_s);
+      record "image_warm_miss_transitions" (float_of_int img_t');
+      record "cold_ms" (cold_time *. 1e3);
+      record "warm_ms" (warm_time *. 1e3);
+      record "speedup" (cold_time /. warm_time))
     corpora;
   print_endline
     "(miss s/t = DFA states/transitions the corpus parse adds beyond its";
   print_endline
-    " starting cache; zero warm misses means the analyzer's offline closure";
+    " starting cache: none, the v2 blob, or the mmapped image; zero warm";
   print_endline
-    " already interned every state and transition the corpus parse needs)";
+    " misses means the analyzer's offline closure already interned every";
+  print_endline
+    " state and transition the corpus parse needs.  emit = image_bytes,";
+  print_endline " load = load_image of the written file, map plus validation)";
   print_newline ()
 
 (* ------------------------------------------------------------------ *)

@@ -260,7 +260,9 @@ let parse_cmd =
           ~doc:
             "Print prediction and DFA-cache statistics (lookahead consumed, \
              state interns, transition and closure-memo hit rates) to stderr \
-             after parsing.")
+             after parsing; with an image $(b,--cache), also its size \
+             (bytes, states, spines, configurations) and load+validate \
+             time.")
   in
   let run lang grammar lexer start input tokens dot trace cache_file stats
       recover format max_severity max_warnings =
@@ -302,15 +304,22 @@ let parse_cmd =
       let lex_minor = Gc.minor_words () -. lex_minor0 in
       let eng = R.make p in
       let max_errors = if recover then 100 else 0 in
+      let loaded =
+        Option.map
+          (fun cf ->
+            let t0 = Unix.gettimeofday () in
+            let cache =
+              or_die
+                (Cache.load_any ~anl:(P.analysis p)
+                   ~fingerprint:(Grammar.fingerprint g) cf)
+            in
+            (cache, Unix.gettimeofday () -. t0))
+          cache_file
+      in
       let outcome =
-        match cache_file with
+        match loaded with
         | None -> R.run_word ?file ~max_errors eng word
-        | Some cf ->
-          let cache =
-            or_die
-              (Cache.load_any ~anl:(P.analysis p)
-                 ~fingerprint:(Grammar.fingerprint g) cf)
-          in
+        | Some (cache, _) ->
           fst (R.run_with_cache_word ?file ~max_errors eng cache word)
       in
       if stats then begin
@@ -360,6 +369,17 @@ let parse_cmd =
           (pct c.I.trans_hits (c.I.trans_hits + c.I.trans_misses))
           c.I.closure_hits c.I.closure_misses
           (pct c.I.closure_hits (c.I.closure_hits + c.I.closure_misses));
+        (match loaded with
+        | Some (cache, load_t) -> (
+          match Cache.image_stats cache with
+          | Some st ->
+            Printf.eprintf
+              "cache image: %d bytes, %d states, %d spines, %d configs; \
+               load+validate %.2f ms\n"
+              st.Cache.img_bytes st.Cache.img_states st.Cache.img_spines
+              st.Cache.img_configs (load_t *. 1e3)
+          | None -> ())
+        | None -> ());
         I.enabled := false
       end;
       match outcome.R.verdict with

@@ -52,7 +52,7 @@ let dummy_cfg = { Config.s_pred = -1; s_frames = Frames.nil; s_ctx = Ctx_accept 
 
 type closure_result = (Config.sll list * bool, Types.error) result
 
-(* A validated v3 flat cache image (DESIGN.md §13): one contiguous int32
+(* A validated flat cache image (DESIGN.md §13.2): one contiguous int32
    bigarray, typically an [Unix.map_file] view of an image file, so N
    processes share a single page-cache copy with zero deserialization.
    Offsets are absolute word indices into [i_words], admitted once by the
@@ -65,7 +65,14 @@ type image = {
   i_inits_at : int;  (** nonterminal -> initial state id, or -1 *)
   i_trans_at : int;  (** dense [i_states * i_terms] successor matrix *)
   i_index_at : int;  (** state -> config-block offset (relative to data) *)
+  i_spines_at : int;  (** [(frame id, tail index)] pairs, tails first *)
   i_data_at : int;  (** per-state configuration blocks *)
+  i_configs : int;  (** configurations over all blocks *)
+  (* Image spine index -> runtime spine id in the loading analysis's
+     [Frames] interner, or -1 while unresolved.  Filled tail-first on
+     first touch ([image_spine]), never eagerly: a parse touches a small
+     fraction of the spines a whole analyzed image carries. *)
+  i_memo : int array;
 }
 
 type t = {
@@ -197,41 +204,48 @@ let closure_of_id c id =
     | Some b when id < c.base_cfgs -> b.closures.(id)
     | _ -> None)
 
-(* Decode one state's configuration block out of an image.  [collect]
-   makes the read order explicit (a stateful cursor must not rely on
-   [List.init]'s evaluation order).  The spines go through the shared
-   frames interner, which serializes internally, so concurrent lazy
-   decodes from several domains are safe. *)
-let collect n f =
-  let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (f () :: acc) in
-  go n []
+(* The runtime spine for image spine index [i] (-1 = nil).  Unresolved
+   entries are walked down to the nearest resolved tail (or nil) and
+   re-interned back up through the shared frames interner, which
+   serializes internally.  Memo writes are idempotent ints: two domains
+   racing on one entry both store the same hash-consed id, so the race
+   costs a duplicate [Frames.cons] and nothing else. *)
+let image_spine frames (im : image) i =
+  let memo = im.i_memo in
+  let rec down i pending =
+    if i < 0 then (Frames.nil, pending)
+    else
+      let s = Array.unsafe_get memo i in
+      if s >= 0 then (s, pending)
+      else down (Flatimg.get_u im.i_words (im.i_spines_at + (2 * i) + 1)) (i :: pending)
+  in
+  let resolved, pending = down i [] in
+  List.fold_left
+    (fun tail j ->
+      let f = Flatimg.get_u im.i_words (im.i_spines_at + (2 * j)) in
+      let s = Frames.cons frames f tail in
+      Array.unsafe_set memo j s;
+      s)
+    resolved pending
 
+(* Decode one state's configuration block: [n_configs], then 3 words per
+   configuration — prediction, context code, spine index. *)
 let image_state_configs frames (im : image) sid =
   let words = im.i_words in
-  let cur = ref (im.i_data_at + Flatimg.get_u words (im.i_index_at + sid)) in
-  let next () =
-    let v = Flatimg.get_u words !cur in
-    incr cur;
-    v
-  in
-  let n_cfgs = next () in
-  collect n_cfgs (fun () ->
-      let pred = next () in
-      let ctx = next () in
-      let n_frames = next () in
-      let frames_syms =
-        collect n_frames (fun () ->
-            let n_syms = next () in
-            collect n_syms (fun () ->
-                let kind = next () in
-                let v = next () in
-                if kind = 0 then T v else NT v))
-      in
+  let at = im.i_data_at + Flatimg.get_u words (im.i_index_at + sid) in
+  let acc = ref [] in
+  for k = Flatimg.get_u words at - 1 downto 0 do
+    let b = at + 1 + (3 * k) in
+    let ctx = Flatimg.get_u words (b + 1) in
+    acc :=
       {
-        Config.s_pred = pred;
-        s_frames = Frames.spine_of_frames frames frames_syms;
+        Config.s_pred = Flatimg.get_u words b;
+        s_frames = image_spine frames im (Flatimg.get_u words (b + 2));
         s_ctx = (if ctx < 0 then Config.Ctx_accept else Config.Ctx_nt ctx);
-      })
+      }
+      :: !acc
+  done;
+  !acc
 
 (* Raw variants for the warm prediction fast path: no option/box per call. *)
 let rec init_get c x =
@@ -692,7 +706,7 @@ let load_precompiled ~anl ~fingerprint file =
         | exception _ -> Error (file ^ ": unreadable prediction cache")
         | s -> of_precompiled ~anl ~fingerprint s)
 
-(* {2 Flat cache images (format v3)}
+(* {2 Flat cache images (the v3 format family, layout version 4)}
 
    One contiguous int32-LE file (word discipline shared with `costar
    tables` via {!Costar_grammar.Flatimg}), laid out so a process can
@@ -700,17 +714,22 @@ let load_precompiled ~anl ~fingerprint file =
    mapping — no unmarshalling, no per-process heap copy, N processes
    sharing one page-cache image.
 
-     header   [magic | version=3 | endian sentinel | fp bytes | digest
+     header   [magic | version=4 | endian sentinel | fp bytes | digest
                bytes | payload words | FNV-1a checksum of payload]
      strings  grammar fingerprint, then frames digest, bytes packed LE
      payload  META   n_terms n_nts n_states n_prods
               INITS  n_nts words        (initial state id or -1)
               TRANS  n_states*n_terms   (dense successor matrix, -1 absent)
               INDEX  n_states words     (config-block offset per state)
+              SPINES n_spines, then per spine: static frame id, tail index
+                       (-1 nil, else < the spine's own index)
               DATA   per state: n_configs, then per config:
-                       pred, ctx (-1 accept | nonterminal id), n_frames,
-                       per frame: n_syms, per symbol: kind (0 T | 1 NT), id
+                       pred, ctx (-1 accept | nonterminal id), spine index
 
+   The spine table stores the cache's hash-consed frame stacks once, as
+   a topologically ordered DAG (every tail precedes its spine), instead
+   of spelling each configuration's stack out symbol by symbol: frame
+   ids are the static ids the header's frames digest already binds.
    Closure memos are deliberately absent: they are recomputed
    deterministically on demand, and [compute_info] rebuilds verdict boxes
    from the configuration lists, so configurations + transitions + inits
@@ -719,7 +738,7 @@ let load_precompiled ~anl ~fingerprint file =
    use unchecked loads. *)
 
 let image_magic = 0x52334143 (* "CA3R" in LE bytes; v2 files start "cost" *)
-let image_version = 3
+let image_version = 4
 let endian_sentinel = 0x01020304
 
 type image_error =
@@ -769,78 +788,84 @@ let unpack_bytes words ~at ~len =
 
 let words_of_bytes n = (n + 3) / 4
 
-let push_config c b (cfg : Config.sll) =
-  Flatimg.push b cfg.Config.s_pred;
-  Flatimg.push b (Config.ctx_code cfg.Config.s_ctx);
-  let frames = Frames.frames_of_spine c.frames cfg.Config.s_frames in
-  Flatimg.push b (List.length frames);
-  List.iter
-    (fun syms ->
-      Flatimg.push b (List.length syms);
-      List.iter
-        (function
-          | T a ->
-            Flatimg.push b 0;
-            Flatimg.push b a
-          | NT x ->
-            Flatimg.push b 1;
-            Flatimg.push b x)
-        syms)
-    frames
-
-let image_words ~fingerprint c =
+(* Encode in one pass over the states: configuration blocks stream into
+   [data], and each spine a configuration names is numbered on first
+   sight, its tail first, so the spine table comes out topologically
+   ordered.  Only then are the sections, whose lengths the header and
+   index need, concatenated. *)
+let image_bytes ~fingerprint c =
   let g = Analysis.grammar c.anl in
   let n_nts = Grammar.num_nonterminals g in
   let digest = Frames.fingerprint c.frames in
-  (* Per-state configuration blocks first: the index needs their sizes. *)
-  let blocks =
-    Array.init c.n_states (fun sid ->
-        let b = ref [] in
-        let inf = info c sid in
-        Flatimg.push b (List.length inf.configs);
-        List.iter (push_config c b) inf.configs;
-        Array.of_list (List.rev !b))
+  let n_static = Frames.num_static_frames c.frames in
+  let word = Flatimg.add_le_word in
+  (* runtime spine id -> image spine index, or -1 *)
+  let spine_ix = Array.make (Frames.num_spines c.frames) (-1) in
+  let spines = Buffer.create 4096 in
+  let n_spines = ref 0 in
+  let rec index_of s =
+    if Frames.spine_is_nil s then -1
+    else if spine_ix.(s) >= 0 then spine_ix.(s)
+    else begin
+      let tail = index_of (Frames.spine_tail c.frames s) in
+      let f = Frames.spine_frame c.frames s in
+      if f >= n_static then
+        invalid_arg "Cache.image_bytes: configuration holds a dynamic frame";
+      let i = !n_spines in
+      word spines f;
+      word spines tail;
+      spine_ix.(s) <- i;
+      n_spines := i + 1;
+      i
+    end
   in
-  let p = ref [] in
-  Flatimg.push p c.n_terms;
-  Flatimg.push p n_nts;
-  Flatimg.push p c.n_states;
-  Flatimg.push p (Array.length c.uniq);
+  let data = Buffer.create 4096 in
+  let index = Buffer.create (4 * c.n_states) in
+  for sid = 0 to c.n_states - 1 do
+    word index (Buffer.length data / 4);
+    let configs = (info c sid).configs in
+    word data (List.length configs);
+    List.iter
+      (fun (cfg : Config.sll) ->
+        word data cfg.s_pred;
+        word data (Config.ctx_code cfg.s_ctx);
+        word data (index_of cfg.s_frames))
+      configs
+  done;
+  let pay =
+    Buffer.create
+      (4 * (5 + n_nts + (c.n_states * c.n_terms)) + Buffer.length index
+     + Buffer.length spines + Buffer.length data)
+  in
+  word pay c.n_terms;
+  word pay n_nts;
+  word pay c.n_states;
+  word pay (Array.length c.uniq);
   for x = 0 to n_nts - 1 do
-    Flatimg.push p (init_get c x)
+    word pay (init_get c x)
   done;
   for sid = 0 to c.n_states - 1 do
     for a = 0 to c.n_terms - 1 do
-      Flatimg.push p (trans_get c sid a)
+      word pay (trans_get c sid a)
     done
   done;
-  let off = ref 0 in
-  Array.iter
-    (fun b ->
-      Flatimg.push p !off;
-      off := !off + Array.length b)
-    blocks;
-  let payload =
-    Array.concat
-      (Array.of_list (List.rev !p) :: Array.to_list blocks)
-  in
-  let h = ref [] in
-  Flatimg.push h image_magic;
-  Flatimg.push h image_version;
-  Flatimg.push h endian_sentinel;
-  Flatimg.push h (String.length fingerprint);
-  Flatimg.push h (String.length digest);
-  Flatimg.push h (Array.length payload);
-  Flatimg.push h (Flatimg.checksum payload);
-  Array.concat
-    [ Array.of_list (List.rev !h); pack_bytes fingerprint; pack_bytes digest;
-      payload ]
-
-let image_bytes ~fingerprint c =
-  let words = image_words ~fingerprint c in
-  let buf = Buffer.create (4 * Array.length words) in
-  Flatimg.add_le_words buf words;
-  Buffer.contents buf
+  Buffer.add_buffer pay index;
+  word pay !n_spines;
+  Buffer.add_buffer pay spines;
+  Buffer.add_buffer pay data;
+  let payload = Buffer.contents pay in
+  let out = Buffer.create (String.length payload + 8192) in
+  List.iter (word out)
+    [
+      image_magic; image_version; endian_sentinel; String.length fingerprint;
+      String.length digest; String.length payload / 4;
+      Flatimg.checksum_fold ~len:(String.length payload / 4) (fun i ->
+          Flatimg.le_word payload (4 * i));
+    ];
+  Flatimg.add_le_words out (pack_bytes fingerprint);
+  Flatimg.add_le_words out (pack_bytes digest);
+  Buffer.add_string out payload;
+  Buffer.contents out
 
 let save_image ~fingerprint c file =
   let oc = open_out_bin file in
@@ -909,8 +934,8 @@ let validate_image ~anl ~fingerprint words =
     let inits_at = pay_at + 4 in
     let trans_at = inits_at + n_nts in
     let index_at = trans_at + (n_states * n_terms) in
-    let data_at = index_at + n_states in
-    if data_at > pay_end then fail Img_truncated;
+    let n_spines_at = index_at + n_states in
+    if n_spines_at >= pay_end then fail Img_truncated;
     for x = 0 to n_nts - 1 do
       let s = Flatimg.get words (inits_at + x) in
       if s < -1 || s >= n_states then fail (Img_malformed "initial state")
@@ -919,6 +944,20 @@ let validate_image ~anl ~fingerprint words =
       let s = Flatimg.get words (trans_at + i) in
       if s < -1 || s >= n_states then fail (Img_malformed "transition")
     done;
+    (* The spine table: static frame ids, tails strictly earlier (so the
+       table is acyclic and resolves tail-first). *)
+    let n_spines = Flatimg.get words n_spines_at in
+    let spines_at = n_spines_at + 1 in
+    if n_spines < 0 || spines_at + (2 * n_spines) > pay_end then
+      fail (Img_malformed "spine count");
+    let n_static = Frames.num_static_frames (Analysis.frames anl) in
+    for i = 0 to n_spines - 1 do
+      let f = Flatimg.get words (spines_at + (2 * i)) in
+      if f < 0 || f >= n_static then fail (Img_malformed "frame id");
+      let tail = Flatimg.get words (spines_at + (2 * i) + 1) in
+      if tail < -1 || tail >= i then fail (Img_malformed "spine tail")
+    done;
+    let data_at = spines_at + (2 * n_spines) in
     (* The config blocks must tile [data_at, pay_end) in state order. *)
     let cur = ref data_at in
     let next () =
@@ -927,30 +966,20 @@ let validate_image ~anl ~fingerprint words =
       incr cur;
       v
     in
+    let n_configs = ref 0 in
     for sid = 0 to n_states - 1 do
       if Flatimg.get words (index_at + sid) <> !cur - data_at then
         fail (Img_malformed "state index");
       let n_cfgs = next () in
       if n_cfgs < 0 then fail (Img_malformed "config count");
+      n_configs := !n_configs + n_cfgs;
       for _ = 1 to n_cfgs do
         let pred = next () in
         if pred < 0 || pred >= n_prods then fail (Img_malformed "prediction");
         let ctx = next () in
         if ctx < -1 || ctx >= n_nts then fail (Img_malformed "context");
-        let n_frames = next () in
-        if n_frames < 0 then fail (Img_malformed "frame count");
-        for _ = 1 to n_frames do
-          let n_syms = next () in
-          if n_syms < 0 then fail (Img_malformed "symbol count");
-          for _ = 1 to n_syms do
-            let kind = next () in
-            let v = next () in
-            match kind with
-            | 0 -> if v < 0 || v >= n_terms then fail (Img_malformed "terminal")
-            | 1 -> if v < 0 || v >= n_nts then fail (Img_malformed "nonterminal")
-            | _ -> fail (Img_malformed "symbol kind")
-          done
-        done
+        let sp = next () in
+        if sp < -1 || sp >= n_spines then fail (Img_malformed "spine index")
       done
     done;
     if !cur <> pay_end then fail (Img_malformed "trailing words");
@@ -962,7 +991,10 @@ let validate_image ~anl ~fingerprint words =
         i_inits_at = inits_at;
         i_trans_at = trans_at;
         i_index_at = index_at;
+        i_spines_at = spines_at;
         i_data_at = data_at;
+        i_configs = !n_configs;
+        i_memo = Array.make n_spines (-1);
       }
   with Img_err e -> Error e
 
@@ -1088,12 +1120,8 @@ let sniff_magic file =
    the mapped words are byte-swapped (the sentinel detects this); fall
    back to the explicit-LE heap decode so the loader works everywhere —
    only the zero-copy sharing is LE-specific. *)
-let load_image ~anl ~fingerprint file =
-  match
-    match sniff_magic file with
-    | Error _ as e -> e
-    | Ok () -> map_image_file file
-  with
+let load_mapped ~anl ~fingerprint file =
+  match map_image_file file with
   | Error _ as e -> e
   | Ok words -> (
     match validate_image ~anl ~fingerprint words with
@@ -1104,20 +1132,45 @@ let load_image ~anl ~fingerprint file =
       | Ok s -> of_image_bytes ~anl ~fingerprint s)
     | Error _ as e -> e)
 
+let load_image ~anl ~fingerprint file =
+  match sniff_magic file with
+  | Error _ as e -> e
+  | Ok () -> load_mapped ~anl ~fingerprint file
+
 (* Heap-decoded load (the oracle path: same validation, no mapping). *)
 let load_image_heap ~anl ~fingerprint file =
   match read_file file with
   | Error _ as e -> e
   | Ok s -> of_image_bytes ~anl ~fingerprint s
 
-(* Magic-sniffing loader for CLI `--cache` arguments: v3 images start
-   "CA3R", v2 caches "cost"; anything else falls to the v2 loader for its
-   diagnostics. *)
+(* Magic-sniffing loader for CLI `--cache` arguments: images start "CA3R",
+   v2 caches "cost"; anything else falls to the v2 loader for its
+   diagnostics.  Only that v2 path reads the whole file onto the heap; an
+   image is sniffed from its first word and then mapped. *)
 let load_any ~anl ~fingerprint file =
-  match read_file file with
-  | Error e -> Error (image_error_to_string e)
-  | Ok s ->
-    if String.length s >= 4 && Flatimg.le_word s 0 = image_magic then
-      Result.map_error image_error_to_string
-        (load_image ~anl ~fingerprint file)
-    else of_precompiled ~anl ~fingerprint s
+  match sniff_magic file with
+  | Ok () ->
+    Result.map_error image_error_to_string (load_mapped ~anl ~fingerprint file)
+  | Error (Img_io msg) -> Error msg
+  | Error _ -> (
+    match read_file file with
+    | Error e -> Error (image_error_to_string e)
+    | Ok s -> of_precompiled ~anl ~fingerprint s)
+
+type image_stats = {
+  img_bytes : int;
+  img_states : int;
+  img_spines : int;
+  img_configs : int;
+}
+
+let image_stats c =
+  Option.map
+    (fun im ->
+      {
+        img_bytes = 4 * Flatimg.dim im.i_words;
+        img_states = im.i_states;
+        img_spines = Array.length im.i_memo;
+        img_configs = im.i_configs;
+      })
+    c.img

@@ -184,7 +184,7 @@ val save_precompiled : fingerprint:string -> t -> string -> unit
 val load_precompiled :
   anl:Analysis.t -> fingerprint:string -> string -> (t, string) result
 
-(** {1 Flat cache images (format v3)}
+(** {1 Flat cache images (format v3, layout version 4)}
 
     A second persistence format, designed for sharing rather than
     archiving: the frozen cache — state configurations, the dense
@@ -192,14 +192,18 @@ val load_precompiled :
     contiguous int32-little-endian image with a validated header
     (magic, version, endian sentinel, grammar fingerprint, suffix-table
     digest, FNV-1a payload checksum; word discipline shared with
-    [costar tables] via {!Costar_grammar.Flatimg}).
+    [costar tables] via {!Costar_grammar.Flatimg}).  Frame stacks are
+    stored once, as a topologically ordered table of
+    [(static frame id, tail index)] spines that configurations point
+    into, mirroring the interner's hash-consing.
 
     {!load_image} maps the file read-only with [Unix.map_file] and serves
     predictions straight off the mapping: transition reads are single
     unboxed word loads against the page cache, state infos are decoded
-    lazily per state on first touch, and N processes mapping the same file
-    share one physical copy with zero deserialization — the substrate of
-    the prefork serving tier (DESIGN.md §13).  Everything is
+    lazily per state on first touch (re-interning only the spines they
+    reach, through a per-image memo), and N processes mapping the same
+    file share one physical copy with zero deserialization — the
+    substrate of the prefork serving tier (DESIGN.md §13).  Everything is
     bounds-and-range validated before any offset is trusted.  Closure
     memos are not stored; they are recomputed deterministically on
     demand. *)
@@ -219,7 +223,9 @@ type image_error =
 
 val image_error_to_string : image_error -> string
 
-(** Encode a cache (typically a fully analyzed one) as a v3 image. *)
+(** Encode a cache (typically a fully analyzed one) as an image.  Raises
+    [Invalid_argument] if a configuration holds a dynamically interned
+    frame: only the static suffix table's ids are bound by the header. *)
 val image_bytes : fingerprint:string -> t -> string
 
 (** [save_image ~fingerprint c file] writes {!image_bytes} to [file]. *)
@@ -244,6 +250,18 @@ val load_image_heap :
 val image_backed : t -> bool
 
 (** Magic-sniffing loader for CLI [--cache] arguments: dispatches on the
-    leading bytes to the v3 image loader or the v2 {!load_precompiled}. *)
+    leading four bytes to {!load_image} or the v2 {!load_precompiled}.
+    Only the v2 path reads the whole file onto the heap. *)
 val load_any :
   anl:Analysis.t -> fingerprint:string -> string -> (t, string) result
+
+(** Size of the image an image-backed cache reads through. *)
+type image_stats = {
+  img_bytes : int;  (** file size *)
+  img_states : int;
+  img_spines : int;  (** entries in the spine table *)
+  img_configs : int;  (** configurations over all state blocks *)
+}
+
+(** [None] unless the cache is image-backed (see {!image_backed}). *)
+val image_stats : t -> image_stats option

@@ -283,6 +283,200 @@ let test_wrong_fingerprint_rejected () =
       (Cache.image_error_to_string e)
   | Ok _ -> Alcotest.fail "wrong fingerprint accepted"
 
+(* --- forged structure ------------------------------------------------------ *)
+
+(* Word-level surgery on an image.  [reseal] recomputes the payload
+   checksum, so a forgery gets past the checksum and has to be caught by
+   the structural walk. *)
+let word_at s i = Flatimg.le_word s (4 * i)
+let set_word b i v = Bytes.set_int32_le b (4 * i) (Int32.of_int v)
+
+let payload_at s = 7 + ((word_at s 3 + 3) / 4) + ((word_at s 4 + 3) / 4)
+
+let reseal b =
+  let s = Bytes.to_string b in
+  let at = payload_at s in
+  set_word b 6
+    (Flatimg.checksum
+       (Flatimg.words_of_le_string s ~pos:(4 * at) ~count:(word_at s 5)))
+
+(* Word offsets of the spine count, the spine table and the config blocks,
+   following the layout documented in [Cache]. *)
+let spine_layout s =
+  let at = payload_at s in
+  let n_terms = word_at s at
+  and n_nts = word_at s (at + 1)
+  and n_states = word_at s (at + 2) in
+  let n_spines_at = at + 4 + n_nts + (n_states * n_terms) + n_states in
+  let n_spines = word_at s n_spines_at in
+  (n_spines_at, n_spines, n_spines_at + 1 + (2 * n_spines))
+
+let test_forged_structure_rejected () =
+  let p, fp, bytes = small_image () in
+  let anl = Parser.analysis p in
+  let n_spines_at, n_spines, data_at = spine_layout bytes in
+  check "the small image shares at least one spine" true (n_spines >= 1);
+  check "state 0 carries a configuration" true (word_at bytes data_at >= 1);
+  let spines_at = n_spines_at + 1 in
+  let pay_end = String.length bytes / 4 in
+  let forge what edits =
+    let b = Bytes.of_string bytes in
+    List.iter (fun (i, v) -> set_word b i v) edits;
+    reseal b;
+    match Cache.of_image_bytes ~anl ~fingerprint:fp (Bytes.to_string b) with
+    | Error (Cache.Img_malformed _) -> ()
+    | Error e ->
+      Alcotest.failf "%s: expected a malformed-image error, got %s" what
+        (Cache.image_error_to_string e)
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | exception e ->
+      Alcotest.failf "%s: escaped with %s" what (Printexc.to_string e)
+  in
+  forge "spine tail not below its own index" [ (spines_at + 1, 0) ];
+  forge "dynamic frame id"
+    [ (spines_at, Frames.num_static_frames (Analysis.frames anl)) ];
+  forge "config spine index out of range" [ (data_at + 3, n_spines) ];
+  forge "spine count overruns the payload"
+    [ (n_spines_at, ((pay_end - spines_at) / 2) + 1) ];
+  forge "negative spine count" [ (n_spines_at, -1) ]
+
+let test_old_version_rejected () =
+  let p, fp, bytes = small_image () in
+  let b = Bytes.of_string bytes in
+  set_word b 1 3;
+  match
+    Cache.of_image_bytes ~anl:(Parser.analysis p) ~fingerprint:fp
+      (Bytes.to_string b)
+  with
+  | Error (Cache.Img_bad_version 3) -> ()
+  | Error e ->
+    Alcotest.failf "expected bad version 3, got %s"
+      (Cache.image_error_to_string e)
+  | Ok _ -> Alcotest.fail "version-3 header accepted"
+
+(* Only static frame ids are bound by the header's digest, so the encoder
+   refuses a configuration whose stack holds a dynamically interned
+   frame. *)
+let test_dynamic_frame_refused () =
+  let p, fp, _ = small_image () in
+  let anl = Parser.analysis p in
+  let fr = Analysis.frames anl in
+  let x = Grammar.start (Analysis.grammar anl) in
+  let f = Frames.frame_of_syms fr [ Symbols.NT x; NT x; NT x; NT x ] in
+  check "the frame is dynamic" true (f >= Frames.num_static_frames fr);
+  let c = Cache.create anl in
+  let c, _ =
+    Cache.intern c
+      [ { Config.s_pred = 0; s_frames = Frames.cons fr f Frames.nil;
+          s_ctx = Config.Ctx_accept } ]
+  in
+  match Cache.image_bytes ~fingerprint:fp c with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "an image with a dynamic frame was emitted"
+
+(* --- analyzer images ------------------------------------------------------ *)
+
+(* The static analyzer's fully explored caches: the images `costar analyze
+   --emit-image` writes.  dot's carries ~28.8k spines shared between
+   ~41k configurations. *)
+let analyzed =
+  List.map
+    (fun l ->
+      ( l,
+        lazy
+          (Costar_predict_analysis.Analyze.analyze (Costar_langs.Lang.grammar l))
+            .Costar_predict_analysis.Analyze.cache ))
+    Costar_langs.[ Json.lang; Xml.lang; Dot.lang ]
+
+let with_saved_image l c f =
+  let file = tmp_file ".img" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+    (fun () ->
+      Cache.save_image ~fingerprint:(fingerprint_of l) c file;
+      f file)
+
+let test_analyzer_images_id_for_id () =
+  List.iter
+    (fun (l, c) ->
+      let c = Lazy.force c in
+      let name = l.Costar_langs.Lang.name in
+      let g = Costar_langs.Lang.grammar l in
+      let fr = Cache.frames c in
+      let frames_on_stacks = ref 0 in
+      for sid = 0 to Cache.num_states c - 1 do
+        List.iter
+          (fun (cfg : Config.sll) ->
+            frames_on_stacks :=
+              !frames_on_stacks + Frames.spine_length fr cfg.Config.s_frames)
+          (Cache.info c sid).Cache.configs
+      done;
+      with_saved_image l c (fun file ->
+          List.iter
+            (fun (kind, load) ->
+              let p = Parser.make g in
+              match load ~anl:(Parser.analysis p) ~fingerprint:(fingerprint_of l) file with
+              | Error e ->
+                Alcotest.failf "%s: %s load failed: %s" name kind
+                  (Cache.image_error_to_string e)
+              | Ok c' ->
+                let fr' = Cache.frames c' in
+                check_int
+                  (Printf.sprintf "%s/%s: state count" name kind)
+                  (Cache.num_states c) (Cache.num_states c');
+                let same = ref true in
+                for sid = 0 to Cache.num_states c - 1 do
+                  if
+                    canon_state fr (Cache.info c sid)
+                    <> canon_state fr' (Cache.info c' sid)
+                  then same := false;
+                  for a = 0 to Grammar.num_terminals g - 1 do
+                    if Cache.trans_get c sid a <> Cache.trans_get c' sid a then
+                      same := false
+                  done
+                done;
+                for x = 0 to Grammar.num_nonterminals g - 1 do
+                  if Cache.init_get c x <> Cache.init_get c' x then same := false
+                done;
+                check
+                  (Printf.sprintf "%s/%s: configurations, transitions and \
+                                   initial states identical id for id"
+                     name kind)
+                  true !same;
+                (* The mapped image's spine table stores each shared stack
+                   suffix once. *)
+                Option.iter
+                  (fun st ->
+                    check
+                      (Printf.sprintf "%s: %d spines < %d stacked frames" name
+                         st.Cache.img_spines !frames_on_stacks)
+                      true
+                      (st.Cache.img_spines < !frames_on_stacks))
+                  (Cache.image_stats c'))
+            [ ("mmap", Cache.load_image); ("heap", Cache.load_image_heap) ]))
+    analyzed
+
+(* [load_any] sniffs an image from its first word and maps it, so loading
+   allocates far less heap than the file is long (it used to read the
+   whole file into a string first). *)
+let test_load_any_allocation () =
+  let l = Costar_langs.Dot.lang in
+  let c = Lazy.force (List.assoc l analyzed) in
+  with_saved_image l c (fun file ->
+      let size = (Unix.stat file).Unix.st_size in
+      let p = Parser.make (Costar_langs.Lang.grammar l) in
+      let anl = Parser.analysis p in
+      let before = Gc.allocated_bytes () in
+      (match Cache.load_any ~anl ~fingerprint:(fingerprint_of l) file with
+      | Error msg -> Alcotest.failf "load_any: %s" msg
+      | Ok c' -> check "load_any(image) is image-backed" true (Cache.image_backed c'));
+      let allocated = Gc.allocated_bytes () -. before in
+      check
+        (Printf.sprintf "load_any allocates %.0f bytes < the %d-byte image"
+           allocated size)
+        true
+        (allocated < float_of_int size))
+
 (* --- format coexistence --------------------------------------------------- *)
 
 let test_v2_and_v3_coexist () =
@@ -350,6 +544,19 @@ let () =
             test_byte_flips_rejected;
           Alcotest.test_case "wrong fingerprint rejected" `Quick
             test_wrong_fingerprint_rejected;
+          Alcotest.test_case "forged structure rejected as malformed" `Quick
+            test_forged_structure_rejected;
+          Alcotest.test_case "version-3 header rejected" `Quick
+            test_old_version_rejected;
+          Alcotest.test_case "dynamic frame refused at encode" `Quick
+            test_dynamic_frame_refused;
+        ] );
+      ( "analyzer images",
+        [
+          Alcotest.test_case "json/xml/dot round-trip id for id, mmap and heap"
+            `Quick test_analyzer_images_id_for_id;
+          Alcotest.test_case "load_any allocates less than the image" `Quick
+            test_load_any_allocation;
         ] );
       ( "coexistence",
         [
