@@ -25,11 +25,30 @@ module Analyze = Costar_predict_analysis.Analyze
 module R = Costar_recover.Recover
 module D = Costar_lint.Diagnostic
 
+(* An input that cannot be read is reported like a malformed grammar file:
+   [costar: PATH: reason] on stderr, exit 2. *)
 let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  let fail reason =
+    prerr_endline (Printf.sprintf "costar: %s: %s" path reason);
+    exit 2
+  in
+  let reason msg =
+    let prefix = path ^ ": " in
+    if String.starts_with ~prefix msg then
+      String.sub msg (String.length prefix)
+        (String.length msg - String.length prefix)
+    else msg
+  in
+  match Sys.is_directory path with
+  | true -> fail "Is a directory"
+  | exception Sys_error msg -> fail (reason msg)
+  | false -> (
+    try
+      let ic = open_in_bin path in
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () -> really_input_string ic (in_channel_length ic))
+    with Sys_error msg -> fail (reason msg))
 
 (* --- Grammar / language sources ---------------------------------------- *)
 
@@ -262,7 +281,8 @@ let parse_cmd =
              state interns, transition and closure-memo hit rates) to stderr \
              after parsing; with an image $(b,--cache), also its size \
              (bytes, states, spines, configurations) and load+validate \
-             time.")
+             time; after the tree is written, a $(b,delivery:) line with the \
+             bytes written, the time taken and the minor words allocated.")
   in
   let run lang grammar lexer start input tokens dot trace cache_file stats
       recover format max_severity max_warnings =
@@ -382,6 +402,20 @@ let parse_cmd =
         | None -> ());
         I.enabled := false
       end;
+      (* Result delivery: the tree streams straight to stdout. *)
+      let deliver v =
+        let t0 = Unix.gettimeofday () in
+        let m0 = Gc.minor_words () in
+        let b0 = pos_out stdout in
+        if dot then print_string (Tree.to_dot g v) else Tree.output g stdout v;
+        if stats then begin
+          flush stdout;
+          Printf.eprintf "delivery: %d bytes in %.2f ms; %.0f minor words\n"
+            (pos_out stdout - b0)
+            ((Unix.gettimeofday () -. t0) *. 1e3)
+            (Gc.minor_words () -. m0)
+        end
+      in
       match outcome.R.verdict with
       | R.Fatal e ->
         prerr_endline ("error: " ^ Costar_core.Types.error_to_string g e);
@@ -391,9 +425,7 @@ let parse_cmd =
         | R.Recovered_ambig _ -> prerr_endline "warning: input is ambiguous"
         | _ -> ());
         let diags = R.diagnostics outcome in
-        if diags = [] then
-          if dot then print_string (Tree.to_dot g v)
-          else Fmt.pr "%a@." (Tree.pp g) v
+        if diags = [] then deliver v
         else begin
           let diags =
             if recover then diags else List.map strip_recovery_notes diags
@@ -402,9 +434,7 @@ let parse_cmd =
              the diagnostics in text mode; structured formats carry the
              diagnostics alone. *)
           let code = render_diags format ~max_severity ~max_warnings diags in
-          if recover && format = `Text then
-            if dot then print_string (Tree.to_dot g v)
-            else Fmt.pr "%a@." (Tree.pp g) v;
+          if recover && format = `Text then deliver v;
           exit code
         end
     end
@@ -939,7 +969,7 @@ let batch_cmd =
           (String.split_on_char '\n' (read_file file))
     in
     let expand path =
-      if Sys.is_directory path then
+      if Sys.file_exists path && Sys.is_directory path then
         Sys.readdir path |> Array.to_list |> List.sort compare
         |> List.map (Filename.concat path)
         |> List.filter (fun f -> not (Sys.is_directory f))

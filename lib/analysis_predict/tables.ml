@@ -70,7 +70,7 @@ type t = {
 }
 
 let magic = "costar/tables"
-let format_version = 1
+let format_version = 2
 let bits = Flatimg.bits
 let words_for = Flatimg.words_for
 
@@ -158,9 +158,10 @@ let build g flow (r : Analyze.t) =
   { fingerprint = Grammar.fingerprint g;
     words = Array.of_list (List.rev !buf) }
 
-(* FNV-1a over the payload bytes, rendered as one hex word in the header
-   (the byte discipline lives in {!Costar_grammar.Flatimg}, shared with
-   the v3 prediction-cache image). *)
+(* The four-lane word checksum of the payload, rendered as one hex word in
+   the header (the word discipline lives in {!Costar_grammar.Flatimg},
+   shared with the v3 prediction-cache image).  Format version 2 is the
+   first to use it; version 1 hashed byte-serially with FNV-1a. *)
 let checksum = Flatimg.checksum
 
 let encode t =

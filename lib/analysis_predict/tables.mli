@@ -2,7 +2,8 @@
     verdicts as one fingerprinted int-array artifact (`costar tables`).
 
     The on-disk format is a plain-text header — magic, format version,
-    grammar fingerprint, payload word count, FNV-1a checksum — followed by
+    grammar fingerprint, payload word count, four-lane word checksum
+    ({!Costar_grammar.Flatimg.checksum}) — followed by
     the payload as little-endian 32-bit words.  {!decode} validates the
     header, the checksum, and the full payload structure before returning;
     a truncated or corrupted image yields a typed {!error}, never an

@@ -706,7 +706,7 @@ let load_precompiled ~anl ~fingerprint file =
         | exception _ -> Error (file ^ ": unreadable prediction cache")
         | s -> of_precompiled ~anl ~fingerprint s)
 
-(* {2 Flat cache images (the v3 format family, layout version 4)}
+(* {2 Flat cache images (the v3 format family, layout version 5)}
 
    One contiguous int32-LE file (word discipline shared with `costar
    tables` via {!Costar_grammar.Flatimg}), laid out so a process can
@@ -714,8 +714,8 @@ let load_precompiled ~anl ~fingerprint file =
    mapping — no unmarshalling, no per-process heap copy, N processes
    sharing one page-cache image.
 
-     header   [magic | version=4 | endian sentinel | fp bytes | digest
-               bytes | payload words | FNV-1a checksum of payload]
+     header   [magic | version=5 | endian sentinel | fp bytes | digest
+               bytes | payload words | four-lane word checksum of payload]
      strings  grammar fingerprint, then frames digest, bytes packed LE
      payload  META   n_terms n_nts n_states n_prods
               INITS  n_nts words        (initial state id or -1)
@@ -735,10 +735,12 @@ let load_precompiled ~anl ~fingerprint file =
    from the configuration lists, so configurations + transitions + inits
    are the whole cache.  Everything is validated — bounds, ranges, block
    contiguity, checksum — before any offset is trusted; hot readers then
-   use unchecked loads. *)
+   use unchecked loads.  Layout version 5 differs from version 4 only in
+   the checksum: four independent word lanes ({!Flatimg.checksum_fold})
+   instead of byte-serial FNV-1a, which was most of an image load. *)
 
 let image_magic = 0x52334143 (* "CA3R" in LE bytes; v2 files start "cost" *)
-let image_version = 4
+let image_version = 5
 let endian_sentinel = 0x01020304
 
 type image_error =

@@ -184,15 +184,15 @@ val save_precompiled : fingerprint:string -> t -> string -> unit
 val load_precompiled :
   anl:Analysis.t -> fingerprint:string -> string -> (t, string) result
 
-(** {1 Flat cache images (format v3, layout version 4)}
+(** {1 Flat cache images (format v3, layout version 5)}
 
     A second persistence format, designed for sharing rather than
     archiving: the frozen cache — state configurations, the dense
     terminal-indexed transition matrix, initial states — encoded as one
     contiguous int32-little-endian image with a validated header
     (magic, version, endian sentinel, grammar fingerprint, suffix-table
-    digest, FNV-1a payload checksum; word discipline shared with
-    [costar tables] via {!Costar_grammar.Flatimg}).  Frame stacks are
+    digest, four-lane word checksum of the payload; word discipline shared
+    with [costar tables] via {!Costar_grammar.Flatimg}).  Frame stacks are
     stored once, as a topologically ordered table of
     [(static frame id, tail index)] spines that configurations point
     into, mirroring the interner's hash-consing.

@@ -1,9 +1,10 @@
 (** Shared codec for the flat int32-LE image formats.
 
-    Both `costar tables` images (format v1) and v3 prediction-cache images
-    encode a payload of 32-bit words — little-endian on disk, FNV-1a
-    checksummed over the on-disk byte order.  This module owns that word
-    discipline; the two formats define their own layouts on top of it. *)
+    Both `costar tables` images (format v2) and v3 prediction-cache images
+    (layout version 5) encode a payload of 32-bit words — little-endian on
+    disk, guarded by a four-lane word checksum of the on-disk words.  This
+    module owns that word discipline; the two formats define their own
+    layouts on top of it. *)
 
 val bits : int
 (** Word width: 32. *)
@@ -15,8 +16,11 @@ val push : int list ref -> int -> unit
 (** Append one word (masked to 32 bits) to a reversed-word-list builder. *)
 
 val checksum : int array -> int
-(** FNV-1a (seed [0x811c9dc5], prime [0x01000193]) over the little-endian
-    bytes of the words, folded to 32 bits. *)
+(** Four-lane word checksum, 32 bits: word [i] feeds lane [i land 3], each
+    lane (seeded [0x811c9dc5]) steps [h <- ((h xor w) * 0x01000193) land
+    0xffffffff], and the lanes are folded in order with the same step from
+    the seed.  Every single-word change alters the result.  Only the low 32
+    bits of each word count. *)
 
 val checksum_fold : len:int -> (int -> int) -> int
 (** Generalized {!checksum} over any indexed word source. *)

@@ -99,7 +99,44 @@ let rec pp g ppf = function
       Fmt.(list ~sep:nop (fun ppf k -> Fmt.pf ppf "@ %a" (pp g) k))
       kids
 
-let to_string g v = Fmt.str "%a" (pp g) v
+(* [pp]'s token stream, fed to the specialised engine.  Adjacent text
+   tokens are merged ("(" with the label, the quotes with the lexeme):
+   text never blocks the queue, so a merged token leaves every layout
+   decision where it was. *)
+let rec layout g l = function
+  | Leaf tok -> Layout.text3 l "'" tok.Token.lexeme "'"
+  | Node (x, kids) ->
+    Layout.open_box l;
+    Layout.text3 l "(" (Grammar.nonterminal_name g x) "";
+    layout_kids g l kids
+  | Error (None, kids) ->
+    Layout.open_box l;
+    Layout.text l "(ERROR";
+    layout_kids g l kids
+  | Error (Some s, kids) ->
+    Layout.open_box l;
+    Layout.text3 l "(ERROR:" (Grammar.symbol_name g s) "";
+    layout_kids g l kids
+
+and layout_kids g l = function
+  | [] ->
+    Layout.text l ")";
+    Layout.close_box l
+  | k :: rest ->
+    Layout.break l;
+    layout g l k;
+    layout_kids g l rest
+
+let to_string g v =
+  let l = Layout.create () in
+  layout g l v;
+  Layout.flush l ~newline:false;
+  Layout.contents l
+
+let output g oc v =
+  let l = Layout.create ~oc () in
+  layout g l v;
+  Layout.flush l ~newline:true
 
 let to_dot g v =
   let buf = Buffer.create 256 in

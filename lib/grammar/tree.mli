@@ -62,7 +62,15 @@ val nonterminals : t -> Int_set.t
     s-expression style: [(S (A 'a' 'b') 'd')]. *)
 val pp : Grammar.t -> Format.formatter -> t -> unit
 
+(** [to_string g v] is [Fmt.str "%a" (pp g) v], computed by the
+    allocation-free {!Layout} engine rather than by [Format]. *)
 val to_string : Grammar.t -> t -> string
+
+(** [output g oc v] writes exactly the bytes that
+    [Fmt.pr "%a@." (pp g) v] writes from a fresh formatter (the tree and a
+    final newline) to [oc], streaming them in 64 KB chunks, then flushes
+    [oc].  Use {!pp} to embed a tree in other [Format] output. *)
+val output : Grammar.t -> out_channel -> t -> unit
 
 (** GraphViz DOT rendering of a parse tree (one node per tree node). *)
 val to_dot : Grammar.t -> t -> string

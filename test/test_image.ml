@@ -340,19 +340,21 @@ let test_forged_structure_rejected () =
     [ (n_spines_at, ((pay_end - spines_at) / 2) + 1) ];
   forge "negative spine count" [ (n_spines_at, -1) ]
 
-let test_old_version_rejected () =
+(* Earlier layouts: version 3 spelled frame stacks out per configuration,
+   version 4 checksummed byte-serially with FNV-1a. *)
+let test_old_version_rejected version () =
   let p, fp, bytes = small_image () in
   let b = Bytes.of_string bytes in
-  set_word b 1 3;
+  set_word b 1 version;
   match
     Cache.of_image_bytes ~anl:(Parser.analysis p) ~fingerprint:fp
       (Bytes.to_string b)
   with
-  | Error (Cache.Img_bad_version 3) -> ()
+  | Error (Cache.Img_bad_version v) when v = version -> ()
   | Error e ->
-    Alcotest.failf "expected bad version 3, got %s"
+    Alcotest.failf "expected bad version %d, got %s" version
       (Cache.image_error_to_string e)
-  | Ok _ -> Alcotest.fail "version-3 header accepted"
+  | Ok _ -> Alcotest.failf "version-%d header accepted" version
 
 (* Only static frame ids are bound by the header's digest, so the encoder
    refuses a configuration whose stack holds a dynamically interned
@@ -547,7 +549,9 @@ let () =
           Alcotest.test_case "forged structure rejected as malformed" `Quick
             test_forged_structure_rejected;
           Alcotest.test_case "version-3 header rejected" `Quick
-            test_old_version_rejected;
+            (test_old_version_rejected 3);
+          Alcotest.test_case "version-4 header rejected" `Quick
+            (test_old_version_rejected 4);
           Alcotest.test_case "dynamic frame refused at encode" `Quick
             test_dynamic_frame_refused;
         ] );

@@ -95,7 +95,7 @@ let test_truncation_rejected () =
     [ ("json", 1); ("minipy", 97) ]
 
 (* Flipping any byte must be rejected: header bytes break the header
-   checks, payload bytes break the FNV-1a checksum.  (The fingerprint line
+   checks, payload bytes break the payload checksum.  (The fingerprint line
    is only validated against an expectation, so the decode passes one.) *)
 let test_corruption_rejected () =
   let g = lang "json" in
@@ -131,6 +131,15 @@ let test_header_checks () =
   (match Tables.decode v2 with
   | Error (Tables.Bad_version "99") -> ()
   | _ -> Alcotest.fail "bad version accepted");
+  (* Format 1, the FNV-1a-checksummed predecessor, is refused by version. *)
+  let v1 =
+    String.sub bytes 0 (nl1 + 1)
+    ^ "1\n"
+    ^ String.sub bytes (nl2 + 1) (String.length bytes - nl2 - 1)
+  in
+  (match Tables.decode v1 with
+  | Error (Tables.Bad_version "1") -> ()
+  | _ -> Alcotest.fail "format-1 image accepted");
   (* Wrong grammar: decoding against another fingerprint. *)
   match
     Tables.decode ~expect_fingerprint:(Grammar.fingerprint (lang "xml")) bytes
